@@ -80,8 +80,8 @@ class ConcurrentQueryEngine {
   /// subset, never cached), or a typed rejection. Exact-hit fast-path
   /// lookups bypass admission entirely, so cache hits stay cheap under
   /// overload. A query stopped mid-pipeline commits NOTHING to the shared
-  /// cache; a fully unlimited request (and admission disabled) runs the
-  /// plain Process pipeline and reports kCompleted. Thread-safe like
+  /// cache; a fully unlimited request (with admission disabled) behaves
+  /// exactly like Process and reports kCompleted. Thread-safe like
   /// Process.
   QueryResult ProcessWithBudget(const Graph& query,
                                 const serving::QueryRequest& request,
@@ -177,11 +177,10 @@ class ConcurrentQueryEngine {
   /// Singleflight record for one canonical key being computed. The leader —
   /// the stream that inserted the record — runs the pipeline and publishes
   /// its answer here; followers park on `cv`. `failed` marks a leader that
-  /// unwound without publishing: followers then run the pipeline themselves
-  /// instead of propagating a missing answer. A *budgeted* leader that
-  /// aborts additionally records why in `leader_outcome` before the wake,
-  /// so parked followers see a typed outcome instead of hanging (they then
-  /// re-check their own budget and either stop or re-run unregistered).
+  /// stopped or unwound without publishing: it records why in
+  /// `leader_outcome` before the wake, and followers then re-check their
+  /// own budget and either stop or run the pipeline themselves,
+  /// unregistered, instead of propagating a missing answer.
   struct InFlightQuery {
     std::mutex mutex;
     std::condition_variable cv;
@@ -192,22 +191,21 @@ class ConcurrentQueryEngine {
   };
 
   /// Verification over `candidates`: borrows the shared pool when it is
-  /// free and the set is big enough to split, else runs inline. `control`
-  /// (null on the unbudgeted path) propagates cancellation into the
-  /// workers; on a stopped control the result is the trusted subset
-  /// (VerifyPool::Run contract).
+  /// free and the set is big enough to split, else runs inline. On a
+  /// stopped `control` the result is the trusted subset (VerifyPool::Run
+  /// contract); an unlimited control never stops.
   std::vector<GraphId> RunVerification(const std::vector<GraphId>& candidates,
                                        const PreparedQuery& prepared,
-                                       serving::QueryControl* control =
-                                           nullptr);
+                                       serving::QueryControl& control);
 
-  /// The budgeted pipeline behind ProcessWithBudget: deadline-aware gate
-  /// acquisition, admission, timed singleflight wait, stage checkpoints,
-  /// deferred cache commits, and the degradation ladder. `control` must be
-  /// armed; the unbudgeted Process body stays untouched.
-  QueryResult ProcessBudgeted(const Graph& query,
-                              serving::QueryControl& control,
-                              bool collect_stats);
+  /// The query pipeline behind Process, ProcessWithBudget and
+  /// ProcessConcurrent: writer-gate wait, exact-hit fast path, admission
+  /// (only when `admit`), singleflight, filter, probe and prune, verify,
+  /// then the deferred cache commits — with stage checkpoints, timed waits
+  /// and the degradation ladder under an armed `control` (an unlimited one
+  /// never stops). Fills `result`; stats only when `collect_stats`.
+  void RunPipeline(const Graph& query, serving::QueryControl& control,
+                   bool admit, bool collect_stats, QueryResult* result);
 
   const GraphDatabase* db_;
   Method* method_;
@@ -219,7 +217,10 @@ class ConcurrentQueryEngine {
   /// present only while its leader runs; the leader erases it after
   /// publishing, and by then the key is already hittable in the cache
   /// (Insert registers it before the leader returns), so late arrivals
-  /// take the fast path instead. Guarded by inflight_mutex_ (a leaf lock:
+  /// take the fast path instead — and a stream that missed the fast path
+  /// just before the key became hittable, then registered as a new leader
+  /// after the old one left, finds it on the leader's re-check of the fast
+  /// path. Guarded by inflight_mutex_ (a leaf lock:
   /// never held while waiting or while holding any cache lock).
   std::unordered_map<std::string, std::shared_ptr<InFlightQuery>> inflight_;
   std::mutex inflight_mutex_;
@@ -229,7 +230,7 @@ class ConcurrentQueryEngine {
   /// whole lifetime, exclusive in ApplyMutation. Queries therefore never
   /// observe a half-applied mutation, and the database/method/cache reads
   /// all over the query path need no per-access synchronization. A *timed*
-  /// shared mutex so the budgeted path can bound its wait
+  /// shared mutex so a query with a deadline can bound its wait
   /// (try_lock_shared_until against the query deadline) and report a typed
   /// kGateWait timeout instead of blocking behind a long mutation.
   std::shared_timed_mutex mutation_mutex_;

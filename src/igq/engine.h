@@ -47,7 +47,10 @@ struct QueryStats {
   int64_t filter_micros = 0;   // host-method filtering stage
   int64_t probe_micros = 0;    // iGQ index probing + candidate pruning
   int64_t verify_micros = 0;   // verification stage
-  int64_t total_micros = 0;    // end-to-end (excludes amortized maintenance)
+  /// End to end. Includes any window flush (§5.2 cache maintenance) the
+  /// query's own insertion triggered, so a query that fills the window
+  /// carries that flush's cost.
+  int64_t total_micros = 0;
 
   size_t candidates_initial = 0;  // |CS(g)| from the host method
   size_t candidates_final = 0;    // |CS_igq(g)| actually verified
@@ -70,8 +73,8 @@ struct BatchOptions {
   bool collect_stats = true;
 
   /// Per-query budget applied to every query of the batch (serving/budget.h).
-  /// Default-constructed (all zeros) = unlimited: the batch runs the plain,
-  /// bit-identical pipeline. Zero fields fall back to the engine's
+  /// Default-constructed (all zeros) = unlimited: every query runs as
+  /// Process() would. Zero fields fall back to the engine's
   /// IgqOptions::ServingOptions defaults when the budget is otherwise
   /// active.
   serving::QueryBudget budget;
@@ -85,7 +88,7 @@ struct BatchOptions {
 struct BatchResult {
   std::vector<GraphId> answer;
   QueryStats stats;
-  /// Lifecycle disposition (always kCompleted on the unbudgeted path).
+  /// Lifecycle disposition (always kCompleted for an unbudgeted batch).
   serving::QueryOutcome outcome;
 };
 
@@ -124,8 +127,8 @@ struct SnapshotLoadInfo {
 /// Thread-safety: an engine is a single logical query stream. Process,
 /// ProcessBatch, and the snapshot calls must not run concurrently with
 /// each other on the same engine — parallelism lives *inside* a query
-/// (the Fig. 6 probe threads and the verification pool, which requires
-/// Method::Verify to be thread-safe). To serve many concurrent streams
+/// (the verification pool, which requires Method::Verify to be
+/// thread-safe). To serve many concurrent streams
 /// over one *shared* cache, use ConcurrentQueryEngine
 /// (concurrent_engine.h); giving each stream its own QueryEngine also
 /// works but keeps the caches private, so streams never share hits. See
@@ -149,9 +152,9 @@ class QueryEngine {
   /// Budgeted execution (serving/budget.h): runs the same pipeline under
   /// `request`'s deadline/caps/cancellation and returns the typed outcome.
   /// Budget fields left at zero fall back to the engine's
-  /// IgqOptions::ServingOptions defaults; a fully unlimited request runs
-  /// the plain Process pipeline (bit-identical cache trajectory) and
-  /// reports kCompleted. A query stopped mid-pipeline commits NOTHING —
+  /// IgqOptions::ServingOptions defaults; a fully unlimited request behaves
+  /// exactly like Process and reports kCompleted. A query stopped
+  /// mid-pipeline commits NOTHING —
   /// no query-counter tick, no §5.1 credits, no insertion — so the cache
   /// state stays bit-identical to an engine that never saw the query; a
   /// stop during or after the prune stage degrades to a cache-composed
@@ -226,21 +229,20 @@ class QueryEngine {
   const IgqOptions& options() const { return options_; }
 
  private:
-  /// Verification over `candidates`, on the pool when one exists.
-  /// `control` (null on the unbudgeted path) propagates cancellation into
-  /// the workers; on a stopped control the result is the trusted subset
-  /// (VerifyPool::Run contract).
+  /// Verification over `candidates`, on the pool when one exists. On a
+  /// stopped `control` the result is the trusted subset (VerifyPool::Run
+  /// contract); an unlimited control never stops.
   std::vector<GraphId> RunVerification(const std::vector<GraphId>& candidates,
                                        const PreparedQuery& prepared,
-                                       serving::QueryControl* control =
-                                           nullptr) const;
+                                       serving::QueryControl& control) const;
 
-  /// The budgeted pipeline behind ProcessWithBudget: same stages as
-  /// Process, with stage checkpoints, deferred cache commits, and the
-  /// degradation ladder. `control` must be armed and limited.
-  QueryResult ProcessBudgeted(const Graph& query,
-                              serving::QueryControl& control,
-                              bool collect_stats);
+  /// The query pipeline behind Process, ProcessWithBudget and ProcessBatch:
+  /// filter, cache lookup, prune, verify, then the deferred cache commits,
+  /// with stage checkpoints and the degradation ladder under an armed
+  /// `control` (an unlimited one never stops). Fills `result`; stats only
+  /// when `collect_stats`.
+  void RunPipeline(const Graph& query, serving::QueryControl& control,
+                   bool collect_stats, QueryResult* result);
 
   const GraphDatabase* db_;
   Method* method_;

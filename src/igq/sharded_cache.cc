@@ -188,12 +188,15 @@ bool ShardedQueryCache::TryExactHit(
   }
   *answer = record->answer.ToVector();
   const LogValue cost = cost_of(*answer);
-  // One §5.1 credit site, mirroring QueryCache::CreditExactHit: the shared
-  // structure lock pins the record, the credit mutex serializes the update.
+  // The hit completes the query: tick the query counter first, then the
+  // one §5.1 credit site, mirroring QueryCache::CreditExactHit after the
+  // engine's tick. The shared structure lock pins the record, the credit
+  // mutex serializes the update.
   std::lock_guard<std::mutex> credits(shard.credit_mutex);
   QueryGraphMetadata& meta = record->meta;
   ++meta.hits;
-  meta.last_hit_at = queries_processed_.load(std::memory_order_relaxed);
+  meta.last_hit_at =
+      queries_processed_.fetch_add(1, std::memory_order_relaxed) + 1;
   meta.removed_candidates += answer->size();
   meta.cost_saved += cost;
   return true;

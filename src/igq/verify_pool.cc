@@ -28,6 +28,20 @@ void ClaimLoop(const std::vector<GraphId>& candidates,
 
 }  // namespace
 
+std::vector<GraphId> VerifyInline(const std::vector<GraphId>& candidates,
+                                  FunctionRef<bool(GraphId)> verify,
+                                  serving::QueryControl* control) {
+  // ClaimLoop's discard protocol, without the shared cursor.
+  std::vector<GraphId> verified;
+  for (GraphId id : candidates) {
+    if (control != nullptr && control->stopped()) break;
+    const bool hit = verify(id);
+    if (control != nullptr && control->stopped()) break;
+    if (hit) verified.push_back(id);
+  }
+  return verified;
+}
+
 VerifyPool::VerifyPool(size_t threads) {
   const size_t extra = threads == 0 ? 0 : threads - 1;
   workers_.reserve(extra);
@@ -46,29 +60,10 @@ VerifyPool::~VerifyPool() {
 }
 
 std::vector<GraphId> VerifyPool::Run(const std::vector<GraphId>& candidates,
-                                     FunctionRef<bool(GraphId)> verify) {
-  return Run(candidates, verify, nullptr);
-}
-
-std::vector<GraphId> VerifyPool::Run(const std::vector<GraphId>& candidates,
                                      FunctionRef<bool(GraphId)> verify,
                                      serving::QueryControl* control) {
-  std::vector<GraphId> verified;
-  if (candidates.empty()) return verified;
   if (workers_.empty() || candidates.size() < 2 * threads()) {
-    if (control == nullptr) {
-      for (GraphId id : candidates) {
-        if (verify(id)) verified.push_back(id);
-      }
-      return verified;
-    }
-    for (GraphId id : candidates) {
-      if (control->stopped()) break;
-      const bool hit = verify(id);
-      if (control->stopped()) break;
-      if (hit) verified.push_back(id);
-    }
-    return verified;
+    return VerifyInline(candidates, verify, control);
   }
 
   std::vector<char> outcome(candidates.size(), 0);
@@ -97,6 +92,7 @@ std::vector<GraphId> VerifyPool::Run(const std::vector<GraphId>& candidates,
     control_ = nullptr;
   }
 
+  std::vector<GraphId> verified;
   for (size_t i = 0; i < candidates.size(); ++i) {
     if (outcome[i] != 0) verified.push_back(candidates[i]);
   }

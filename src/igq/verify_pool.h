@@ -22,6 +22,14 @@ namespace serving {
 class QueryControl;
 }  // namespace serving
 
+/// Runs `verify` over `candidates` on the calling thread and returns the
+/// subset that verified, in candidate order, with VerifyPool::Run's stop
+/// protocol when `control` is non-null. This is Run's inline path, also
+/// used by callers that verify without a pool.
+std::vector<GraphId> VerifyInline(const std::vector<GraphId>& candidates,
+                                  FunctionRef<bool(GraphId)> verify,
+                                  serving::QueryControl* control);
+
 /// Fixed-size pool executing one verification task at a time. The calling
 /// thread participates as a worker, so a pool of size N spawns N-1 threads.
 ///
@@ -49,23 +57,21 @@ class VerifyPool {
   /// inline on the caller. Each worker is a persistent thread, so the
   /// matching core's per-thread MatchContext arenas are reused across every
   /// query and batch this pool ever verifies.
-  std::vector<GraphId> Run(const std::vector<GraphId>& candidates,
-                           FunctionRef<bool(GraphId)> verify);
-
-  /// Cancellable overload: `control` (may be null — then identical to the
-  /// two-argument form) is installed on every participating thread's
-  /// MatchContext for the duration of the task, so the amortized match-core
-  /// checkpoint can stop a search mid-candidate, and it is polled between
-  /// claimed items so a stop drains the batch without starting new work.
-  /// Results recorded at or after the stop are discarded (an interrupted
-  /// search aliases "not contained" — see serving/budget.h), so on a stopped
-  /// control the returned ids are a TRUSTED SUBSET of the full result:
-  /// every id in it truly verified before the stop; ids the stop skipped or
-  /// interrupted are simply absent. Callers must check control->stopped()
-  /// and treat the result as partial.
+  ///
+  /// `control` (may be null: not cancellable) is installed on every
+  /// participating thread's MatchContext for the duration of the task, so
+  /// the amortized match-core checkpoint can stop a search mid-candidate,
+  /// and it is polled between claimed items so a stop drains the batch
+  /// without starting new work. Results recorded at or after the stop are
+  /// discarded (an interrupted search aliases "not contained" — see
+  /// serving/budget.h), so on a stopped control the returned ids are a
+  /// TRUSTED SUBSET of the full result: every id in it truly verified
+  /// before the stop; ids the stop skipped or interrupted are simply
+  /// absent. Callers must check control->stopped() and treat the result as
+  /// partial.
   std::vector<GraphId> Run(const std::vector<GraphId>& candidates,
                            FunctionRef<bool(GraphId)> verify,
-                           serving::QueryControl* control);
+                           serving::QueryControl* control = nullptr);
 
   /// Total worker count including the calling thread.
   size_t threads() const { return workers_.size() + 1; }

@@ -66,8 +66,7 @@ enum class QueryOutcomeKind : uint8_t {
 const char* QueryOutcomeKindName(QueryOutcomeKind kind);
 
 /// Per-query resource budget. Zero means "unlimited" for every field, so a
-/// default-constructed budget is a no-op and the unbudgeted engine paths
-/// stay bit-identical.
+/// default-constructed budget is a no-op.
 struct QueryBudget {
   /// Wall-clock deadline in microseconds from the moment the engine accepts
   /// the query (QueryControl::Arm). 0 = no deadline.
@@ -122,9 +121,9 @@ class QueryControl {
   /// Starts the clock. `cancel` may be null (no external cancellation).
   void Arm(const QueryBudget& budget, const std::atomic<bool>* cancel);
 
-  /// True when any limit or the cancel flag is active — the engines take the
-  /// budgeted (deferred-commit) path only in that case, keeping the
-  /// unlimited path byte-for-byte identical to the pre-lifecycle code.
+  /// True when any limit or the cancel flag is active. Only then do the
+  /// engines install the control on their searches (the match-core
+  /// checkpoint, the verify pool); an unlimited control never stops.
   bool limited() const { return limited_; }
 
   bool has_deadline() const { return has_deadline_; }

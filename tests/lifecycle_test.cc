@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -486,6 +487,50 @@ IgqOptions ConcurrentOptions() {
   options.window_size = 4;
   options.cache_shards = 2;
   return options;
+}
+
+TEST(LifecycleConcurrentTest, BudgetedPipelineParityWithPlainProcess) {
+  const GraphDatabase db = MakeDb(223);
+  auto method_a = MethodRegistry::Create(QueryDirection::kSubgraph, "ggsx");
+  auto method_b = MethodRegistry::Create(QueryDirection::kSubgraph, "ggsx");
+  method_a->Build(db);
+  method_b->Build(db);
+  IgqOptions options = ConcurrentOptions();  // window 4 over 2 shards
+  options.verify_threads = 2;
+  ConcurrentQueryEngine budgeted(db, method_a.get(), options);
+  ConcurrentQueryEngine plain(db, method_b.get(), options);
+
+  // Every fourth query repeats an earlier one, so the exact-hit commit
+  // order (counter tick, then credit) is exercised, not just misses.
+  const std::vector<Graph> fresh = MakeQueries(db, 227, 30);
+  std::vector<Graph> queries;
+  for (size_t i = 0, next = 0; i < 40; ++i) {
+    Graph query = i % 4 == 3 ? queries[i / 2] : fresh[next++];
+    queries.push_back(std::move(query));
+  }
+
+  // One stream, so both arms see the same interleaving; the never-fired
+  // cancel flag makes the control limited without ever stopping it.
+  CancelSource never_fired;
+  QueryRequest request;
+  request.cancel = &never_fired;
+  size_t exact_hits = 0;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const QueryResult via_budget =
+        budgeted.ProcessWithBudget(queries[i], request, /*collect_stats=*/true);
+    QueryStats plain_stats;
+    const std::vector<GraphId> via_plain =
+        plain.Process(queries[i], &plain_stats);
+    EXPECT_EQ(via_budget.outcome.kind, QueryOutcomeKind::kCompleted);
+    EXPECT_EQ(via_budget.answer, via_plain) << "query " << i;
+    ExpectSameStats(via_budget.stats, plain_stats, i);
+    if (plain_stats.shortcut == ShortcutKind::kExactHit) ++exact_hits;
+    std::ostringstream budgeted_bytes, plain_bytes;
+    ASSERT_TRUE(budgeted.SaveSnapshot(budgeted_bytes));
+    ASSERT_TRUE(plain.SaveSnapshot(plain_bytes));
+    EXPECT_TRUE(budgeted_bytes.str() == plain_bytes.str()) << "query " << i;
+  }
+  EXPECT_GT(exact_hits, 0u) << "test premise: repeats must hit the cache";
 }
 
 TEST(LifecycleConcurrentTest, GateWaitDeadlineExpiresWhileMutationHolds) {
